@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short race bench bench-smoke bench-gate bench-json bench-serve-json smoke-serve metrics-smoke durability-smoke dist-smoke replica-smoke reproduce examples ci fuzz-smoke clean
+.PHONY: all build vet test test-short race bench bench-smoke bench-gate bench-json smoke-serve metrics-smoke durability-smoke dist-smoke replica-smoke reproduce examples ci fuzz-smoke clean
 
 all: build vet test
 
@@ -40,7 +40,7 @@ ci:
 # 10 seconds of native fuzzing per target. go test accepts one -fuzz target
 # per invocation, so loop over every FuzzXxx the fuzzing packages list.
 fuzz-smoke:
-	@for pkg in ./internal/ber ./internal/snmp ./internal/probe ./internal/vantage; do \
+	@for pkg in ./internal/ber ./internal/snmp ./internal/probe ./internal/wire ./internal/vantage ./internal/store; do \
 		for t in $$($(GO) test $$pkg -list '^Fuzz' | grep '^Fuzz'); do \
 			echo "fuzz $$pkg $$t"; \
 			$(GO) test $$pkg -run '^$$' -fuzz "^$$t$$" -fuzztime 10s || exit 1; \
@@ -69,12 +69,6 @@ bench-gate:
 # runners are not baselines); run on a quiet machine before committing.
 bench-json:
 	$(GO) run ./cmd/benchjson
-
-# Store+serve latency benchmark (p50/p99 per endpoint) as one-off JSON;
-# complements the allocation-centric bench-json suite.
-bench-serve-json:
-	$(GO) run ./cmd/snmpfpd -bench-json BENCH_serve_latency.json
-	@cat BENCH_serve_latency.json
 
 # End-to-end daemon smoke: ingest a simulated world, self-query /v1/stats,
 # /v1/vendors and /v1/metrics over HTTP.

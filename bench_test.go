@@ -14,6 +14,7 @@
 package snmpv3fp_test
 
 import (
+	"context"
 	"fmt"
 	"net/netip"
 	"runtime"
@@ -591,7 +592,7 @@ func BenchmarkFullCampaign(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err := scanner.Scan(w.NewTransport(), targets, scanner.Config{
+				res, err := scanner.ScanContext(context.Background(), w.NewTransport(), targets, scanner.Config{
 					Rate: 5000, Batch: 256, Clock: w.Clock, Seed: int64(i), Workers: workers,
 				})
 				if err != nil {

@@ -16,10 +16,6 @@
 //
 //	snmpfpd -sim -smoke
 //
-// Store+serve benchmark (used by `make bench-json`):
-//
-//	snmpfpd -bench-json BENCH_store.json
-//
 // Endpoints: /v1/ip/{addr}, /v1/device/{engineID}, /v1/vendors,
 // /v1/reboots/{addr}, /v1/fusion, /v1/stats, /v1/metrics; plus
 // /debug/pprof/ with -pprof.
@@ -35,7 +31,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -74,13 +69,8 @@ func main() {
 	replicaOf := flag.String("replica-of", "", "run as a read replica of the primary at this replication address: no ingest, serves the shipped state (requires -data-dir)")
 	smoke := flag.Bool("smoke", false, "ingest, self-query /v1/stats, /v1/vendors and /v1/metrics, print, exit")
 	pprofFlag := flag.Bool("pprof", false, "also serve net/http/pprof under /debug/pprof/")
-	benchJSON := flag.String("bench-json", "", "run the store+serve benchmark, write JSON to this file, exit")
 	flag.Parse()
 
-	if *benchJSON != "" {
-		runBenchJSON(*benchJSON)
-		return
-	}
 	if *replicaOf != "" {
 		if *dataDir == "" {
 			fmt.Fprintln(os.Stderr, "snmpfpd: -replica-of requires -data-dir")
@@ -98,7 +88,7 @@ func main() {
 		os.Exit(2)
 	}
 	if *ingest == "" && !*sim {
-		fmt.Fprintln(os.Stderr, "snmpfpd: need -ingest, -sim, -replica-of or -bench-json")
+		fmt.Fprintln(os.Stderr, "snmpfpd: need -ingest, -sim or -replica-of")
 		os.Exit(2)
 	}
 
@@ -129,17 +119,9 @@ func main() {
 	// SIGINT/SIGTERM path below it runs before exit, so a clean shutdown
 	// never drops buffered samples.
 	defer closeStore(st)
-	srv := serve.New(st, serve.WithObs(reg))
-	var handler http.Handler = srv
+	var handler http.Handler = serve.New(st, serve.WithObs(reg))
 	if *pprofFlag {
-		root := http.NewServeMux()
-		root.HandleFunc("/debug/pprof/", pprof.Index)
-		root.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		root.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		root.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		root.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		root.Handle("/", srv)
-		handler = root
+		handler = withPprof(handler)
 	}
 
 	// Cancelling this context (SIGINT/SIGTERM) drains scan workers and
@@ -215,13 +197,9 @@ func runReplica(primary, dataDir, listen string, verify, pprofFlag bool) {
 	fmt.Fprintf(os.Stderr, "snmpfpd: replica of %s in %s (%d samples on open)\n",
 		primary, dataDir, r.Snapshot().Stats().Ingested)
 
-	srv := serve.New(r, serve.WithObs(reg))
-	var handler http.Handler = srv
+	var handler http.Handler = serve.New(r, serve.WithObs(reg))
 	if pprofFlag {
-		root := http.NewServeMux()
-		root.HandleFunc("/debug/pprof/", pprof.Index)
-		root.Handle("/", srv)
-		handler = root
+		handler = withPprof(handler)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -352,21 +330,17 @@ func runSim(ctx context.Context, st *store.Store, reg *obs.Registry, simSeed int
 	return nil
 }
 
-func runBenchJSON(path string) {
-	res, err := serve.RunBench(serve.BenchConfig{})
-	if err != nil {
-		fatal(err)
-	}
-	buf, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		fatal(err)
-	}
-	buf = append(buf, '\n')
-	if err := os.WriteFile(path, buf, 0o644); err != nil {
-		fatal(err)
-	}
-	fmt.Fprintf(os.Stderr, "snmpfpd: wrote %s (ingest %.0f samples/s, ip p99 %.0fµs)\n",
-		path, res.Ingest.SamplesPerSec, res.Query["ip"].P99Us)
+// withPprof mounts net/http/pprof under /debug/pprof/ in front of h, which
+// keeps every other path. Primary and replica modes share it.
+func withPprof(h http.Handler) http.Handler {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	mux.Handle("/", h)
+	return mux
 }
 
 func httpGet(url string) ([]byte, error) {

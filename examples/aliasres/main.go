@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -27,7 +28,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		c, err := snmpv3fp.Scan(w.NewTransport(), targets, snmpv3fp.ScanConfig{
+		c, err := snmpv3fp.ScanContext(context.Background(), w.NewTransport(), targets, snmpv3fp.ScanConfig{
 			Rate: 5000, Clock: w.Clock, Seed: seed,
 		})
 		if err != nil {
@@ -42,7 +43,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		c, err := snmpv3fp.Scan(w.NewTransport(), targets, snmpv3fp.ScanConfig{
+		c, err := snmpv3fp.ScanContext(context.Background(), w.NewTransport(), targets, snmpv3fp.ScanConfig{
 			Rate: 20000, Clock: w.Clock, Seed: seed,
 		})
 		if err != nil {

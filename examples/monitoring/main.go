@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -27,7 +28,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		c, err := snmpv3fp.Scan(w.NewTransport(), targets, snmpv3fp.ScanConfig{
+		c, err := snmpv3fp.ScanContext(context.Background(), w.NewTransport(), targets, snmpv3fp.ScanConfig{
 			Rate: 50000, Clock: w.Clock, Seed: seed,
 		})
 		if err != nil {

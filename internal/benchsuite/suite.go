@@ -54,7 +54,7 @@ func runCampaign(w *netsim.World, workers, batch int) (*scanner.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return scanner.Scan(w.NewTransport(), targets, scanner.Config{
+	return scanner.ScanContext(context.Background(), w.NewTransport(), targets, scanner.Config{
 		Rate: 5000, Batch: batch, Timeout: 8 * time.Second,
 		Clock: w.Clock, Seed: 42, Workers: workers,
 	})
@@ -245,7 +245,9 @@ func StoreIngest(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st.AddCampaign(c)
+		if _, err := st.Ingest(context.Background(), c); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(n), "samples/op")
@@ -281,7 +283,9 @@ func StoreDurableIngest(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st.AddCampaign(c)
+		if _, err := st.Ingest(context.Background(), c); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(n), "samples/op")
@@ -309,7 +313,9 @@ func StoreCompact(b *testing.B) {
 			b.Fatal(err)
 		}
 		for j := 0; j < 4; j++ {
-			st.AddCampaign(c)
+			if _, err := st.Ingest(context.Background(), c); err != nil {
+				b.Fatal(err)
+			}
 		}
 		b.StartTimer()
 		st.Compact()
@@ -334,7 +340,9 @@ func newBenchServer(b *testing.B) (*serve.Server, []*core.Observation) {
 	}
 	b.Cleanup(func() { st.Close() })
 	for i := 0; i < 3; i++ {
-		st.AddCampaign(c)
+		if _, err := st.Ingest(context.Background(), c); err != nil {
+			b.Fatal(err)
+		}
 	}
 	return serve.New(st), obs
 }
@@ -464,7 +472,9 @@ func newMissBenchServer(b *testing.B, disableBloom bool) (*serve.Server, *store.
 	}
 	b.Cleanup(func() { st.Close() })
 	for i := 0; i < 3; i++ {
-		st.AddCampaign(c)
+		if _, err := st.Ingest(context.Background(), c); err != nil {
+			b.Fatal(err)
+		}
 	}
 	if err := st.Flush(); err != nil {
 		b.Fatal(err)

@@ -211,21 +211,6 @@ func (f Fingerprint) VendorLabel() string {
 	return f.Vendor
 }
 
-// Probe sends a single discovery request with a background context.
-//
-// Deprecated: use [ProbeContext], which supports cancellation.
-func Probe(tr scanner.Transport, addr netip.Addr, timeout time.Duration) (*Observation, error) {
-	return ProbeContext(context.Background(), tr, addr, 1, timeout)
-}
-
-// ProbeWithID is Probe with a caller-chosen message ID and a background
-// context.
-//
-// Deprecated: use [ProbeContext], which supports cancellation.
-func ProbeWithID(tr scanner.Transport, addr netip.Addr, msgID int64, timeout time.Duration) (*Observation, error) {
-	return ProbeContext(context.Background(), tr, addr, msgID, timeout)
-}
-
 // ProbeContext sends a single discovery request to addr over tr and waits
 // for the matching report: the one-packet-per-target primitive of the paper,
 // exposed for interactive use (see examples/quickstart). Load-balanced VIPs

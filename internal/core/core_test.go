@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"io"
 	"net/netip"
 	"testing"
@@ -133,7 +134,7 @@ func TestProbe(t *testing.T) {
 	tr := newMemTransport(func(dst netip.Addr) [][]byte {
 		return [][]byte{report(id, 42, 100)}
 	})
-	obs, err := Probe(tr, netip.MustParseAddr("192.0.2.5"), time.Second)
+	obs, err := ProbeContext(context.Background(), tr, netip.MustParseAddr("192.0.2.5"), 1, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +146,7 @@ func TestProbe(t *testing.T) {
 func TestProbeTimeout(t *testing.T) {
 	tr := newMemTransport(func(dst netip.Addr) [][]byte { return nil })
 	defer tr.Close()
-	_, err := Probe(tr, netip.MustParseAddr("192.0.2.5"), 50*time.Millisecond)
+	_, err := ProbeContext(context.Background(), tr, netip.MustParseAddr("192.0.2.5"), 1, 50*time.Millisecond)
 	if err == nil {
 		t.Fatal("expected timeout")
 	}
@@ -160,7 +161,7 @@ func TestProbeIgnoresOtherSources(t *testing.T) {
 	// Pre-load a response from the wrong source, then the right one.
 	tr.responses <- scanner.Response{Src: other, Payload: report(id, 1, 1), At: time.Now()}
 	tr.responses <- scanner.Response{Src: target, Payload: report(id, 2, 2), At: time.Now()}
-	obs, err := Probe(tr, target, time.Second)
+	obs, err := ProbeContext(context.Background(), tr, target, 1, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

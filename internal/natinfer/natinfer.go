@@ -12,6 +12,7 @@
 package natinfer
 
 import (
+	"context"
 	"net/netip"
 	"sort"
 	"time"
@@ -65,7 +66,7 @@ func (r *Result) DistinctIDs() int { return len(r.IDs) }
 func Classify(tr scanner.Transport, addr netip.Addr, burst int, timeout time.Duration) *Result {
 	r := &Result{IP: addr, IDs: map[string]int{}}
 	for i := 0; i < burst; i++ {
-		obs, err := core.ProbeWithID(tr, addr, int64(1000+i), timeout)
+		obs, err := core.ProbeContext(context.Background(), tr, addr, int64(1000+i), timeout)
 		if err != nil || obs == nil {
 			continue
 		}

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"context"
 	"reflect"
 	"testing"
 	"time"
@@ -23,7 +24,7 @@ func runViewpointCampaign(t *testing.T, seed int64, faults *FaultProfile, viewpo
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := scanner.Scan(w.NewTransport(), targets, scanner.Config{
+	res, err := scanner.ScanContext(context.Background(), w.NewTransport(), targets, scanner.Config{
 		Rate: 5000, Clock: w.Clock, Seed: 42, Workers: 4,
 	})
 	if err != nil {
@@ -47,7 +48,7 @@ func TestViewpointZeroIsReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := scanner.Scan(w.NewTransport(), targets, scanner.Config{
+		res, err := scanner.ScanContext(context.Background(), w.NewTransport(), targets, scanner.Config{
 			Rate: 5000, Clock: w.Clock, Seed: 42, Workers: 4,
 		})
 		if err != nil {

@@ -1,6 +1,7 @@
 package scanner_test
 
 import (
+	"context"
 	"net/netip"
 	"strings"
 	"sync/atomic"
@@ -32,7 +33,7 @@ func runBatchCampaign(t *testing.T, workers, batch int, faults *netsim.FaultProf
 		tr = wrap(tr.(*netsim.Transport))
 	}
 	var last scanner.Snapshot
-	res, err := scanner.Scan(tr, targets, scanner.Config{
+	res, err := scanner.ScanContext(context.Background(), tr, targets, scanner.Config{
 		Rate: 5000, Batch: batch, Timeout: 8 * time.Second,
 		Clock: w.Clock, Seed: 42, Workers: workers,
 		Progress: func(s scanner.Snapshot) { last = s },

@@ -1,6 +1,7 @@
 package scanner
 
 import (
+	"context"
 	"errors"
 	"io"
 	"net/netip"
@@ -46,7 +47,7 @@ func TestScanSendFailureClosesTransport(t *testing.T) {
 			t.Fatal(err)
 		}
 		clock := vclock.NewVirtual(time.Unix(0, 0))
-		_, err = Scan(tr, targets, Config{Rate: 1000, Clock: clock, Workers: workers})
+		_, err = ScanContext(context.Background(), tr, targets, Config{Rate: 1000, Clock: clock, Workers: workers})
 		if err == nil {
 			t.Fatalf("workers=%d: send failure not reported", workers)
 		}
@@ -144,7 +145,7 @@ func TestScanRetryReprobesOnlyNonResponders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Scan(tr, targets, Config{
+	res, err := ScanContext(context.Background(), tr, targets, Config{
 		Rate: 100000, Batch: 32, Timeout: time.Second, Clock: clock, Seed: 9,
 		Workers: 2, Retries: 1,
 	})
@@ -182,7 +183,7 @@ func TestScanCoordinatedPacing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Scan(tr, targets, Config{
+	res, err := ScanContext(context.Background(), tr, targets, Config{
 		Rate: 1000, Batch: 64, Timeout: time.Second, Clock: clock, Workers: 4,
 	})
 	if err != nil {
@@ -236,7 +237,7 @@ func TestScanPacingCarriesOvershoot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Scan(tr, targets, Config{
+	res, err := ScanContext(context.Background(), tr, targets, Config{
 		Rate: 1000, Batch: 64, Timeout: time.Second, Clock: clock, Workers: 1,
 	})
 	if err != nil {
@@ -302,7 +303,7 @@ func TestScanProgressSnapshots(t *testing.T) {
 	}
 	var mu sync.Mutex
 	var snaps []Snapshot
-	res, err := Scan(tr, targets, Config{
+	res, err := ScanContext(context.Background(), tr, targets, Config{
 		Rate: 100000, Clock: clock, Workers: 2, ProgressEvery: 64,
 		Progress: func(s Snapshot) {
 			mu.Lock()

@@ -1,6 +1,7 @@
 package scanner
 
 import (
+	"context"
 	"io"
 	"net/netip"
 	"testing"
@@ -59,7 +60,7 @@ func TestScanCollectsResponses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Scan(tr, targets, Config{Rate: 100000, Clock: clock, Seed: 1})
+	res, err := ScanContext(context.Background(), tr, targets, Config{Rate: 100000, Clock: clock, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func TestScanPacing(t *testing.T) {
 	clock := vclock.NewVirtual(time.Unix(0, 0))
 	tr := newEchoTransport(clock)
 	targets, _ := NewPrefixSpace([]netip.Prefix{netip.MustParsePrefix("10.0.0.0/22")}, 1)
-	res, err := Scan(tr, targets, Config{Rate: 1000, Batch: 64, Timeout: time.Second, Clock: clock})
+	res, err := ScanContext(context.Background(), tr, targets, Config{Rate: 1000, Batch: 64, Timeout: time.Second, Clock: clock})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func TestScanProbesAreValidSNMPv3(t *testing.T) {
 	var captured []byte
 	tr := &captureTransport{clock: clock, onSend: func(p []byte) { captured = p }, closed: make(chan struct{})}
 	targets, _ := NewListSpace([]netip.Addr{netip.MustParseAddr("192.0.2.1")}, 1)
-	if _, err := Scan(tr, targets, Config{Rate: 1000, Clock: clock}); err != nil {
+	if _, err := ScanContext(context.Background(), tr, targets, Config{Rate: 1000, Clock: clock}); err != nil {
 		t.Fatal(err)
 	}
 	msg, err := snmp.DecodeV3(captured)

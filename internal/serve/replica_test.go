@@ -35,7 +35,9 @@ func TestResultCacheInvalidation(t *testing.T) {
 
 	// Ingest a third campaign touching the same IP; the next GET must see it.
 	idB := engID(2636, 0x11, 0x22, 0x33, 0x44)
-	st.AddCampaign(mkCampaign(mkObs("192.0.2.3", idB, 6, 100+86400, t0.Add(48*time.Hour))))
+	if _, err := st.Ingest(context.Background(), mkCampaign(mkObs("192.0.2.3", idB, 6, 100+86400, t0.Add(48*time.Hour)))); err != nil {
+		t.Fatal(err)
+	}
 	third := get(t, ts, "/v1/ip/192.0.2.3", 200, nil)
 	if bytes.Equal(second, third) {
 		t.Fatalf("GET after ingest served stale cached bytes: %s", third)
@@ -107,11 +109,14 @@ func TestReplicaSmoke(t *testing.T) {
 	defer prim.Close()
 	day := 24 * time.Hour
 	for n := 0; n < 3; n++ {
-		prim.AddCampaign(mkCampaign(
+		c := mkCampaign(
 			mkObs("192.0.2.1", idA, 2, 1000+86400*int64(n), t0.Add(time.Duration(n)*day)),
 			mkObs("192.0.2.2", idA, 2, 1000+86400*int64(n), t0.Add(time.Duration(n)*day)),
 			mkObs("192.0.2.3", idB, 5+int64(n), 500, t0.Add(time.Duration(n)*day)),
-		))
+		)
+		if _, err := prim.Ingest(context.Background(), c); err != nil {
+			t.Fatal(err)
+		}
 	}
 	// Everything into segments: the memtable is not shipped.
 	if err := prim.Flush(); err != nil {

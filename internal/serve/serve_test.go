@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -68,8 +69,12 @@ func seedStore(t *testing.T) (*store.Store, *core.Campaign, *core.Campaign) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { st.Close() })
-	st.AddCampaign(c1)
-	st.AddCampaign(c2)
+	if _, err := st.Ingest(context.Background(), c1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Ingest(context.Background(), c2); err != nil {
+		t.Fatal(err)
+	}
 	return st, c1, c2
 }
 
@@ -340,25 +345,6 @@ func TestVendorsAndAliasesMatchBatchOverHTTP(t *testing.T) {
 		if string(gotJSON) != string(wantJSON) {
 			t.Fatalf("set %s diverges:\n got %s\nwant %s", want.EngineID, gotJSON, wantJSON)
 		}
-	}
-}
-
-func TestRunBench(t *testing.T) {
-	res, err := RunBench(BenchConfig{Campaigns: 2, IPs: 40, Queries: 25})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Ingest.Samples != 80 || res.Ingest.SamplesPerSec <= 0 {
-		t.Fatalf("ingest: %+v", res.Ingest)
-	}
-	for _, ep := range []string{"ip", "device", "vendors", "reboots", "stats"} {
-		lat, ok := res.Query[ep]
-		if !ok || lat.Requests != 25 || lat.P99Us < lat.P50Us {
-			t.Fatalf("endpoint %s: %+v (ok=%v)", ep, lat, ok)
-		}
-	}
-	if res.Stats.Ingested != 80 || res.Stats.Campaigns != 2 {
-		t.Fatalf("stats: %+v", res.Stats)
 	}
 }
 

@@ -50,8 +50,8 @@ func TestBloomFalsePositiveRate(t *testing.T) {
 	}
 }
 
-// TestBloomAbsentFilterAnswersTrue pins the v2-compat semantics: a segment
-// without a persisted filter must never filter anything out.
+// TestBloomAbsentFilterAnswersTrue pins that a segment without a persisted
+// filter (written with Options.DisableBloom) never filters anything out.
 func TestBloomAbsentFilterAnswersTrue(t *testing.T) {
 	var f sbbf
 	if !f.mayContain([]byte("anything")) {

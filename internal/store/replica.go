@@ -16,6 +16,7 @@ import (
 	"snmpv3fp/internal/alias"
 	"snmpv3fp/internal/lru"
 	"snmpv3fp/internal/obs"
+	"snmpv3fp/internal/wire"
 )
 
 // Replica is the read-only receiving end of segment-shipping replication: a
@@ -286,10 +287,10 @@ func (r *Replica) Sync(ctx context.Context, conn net.Conn) error {
 		hello.Held = append(hello.Held, name)
 	}
 	r.mu.Unlock()
-	body := replFramePool.Get()[:0]
+	body := wire.Pool.Get()[:0]
 	body = appendReplHello(body, hello)
-	err := writeReplFrame(conn, replFrameHello, body)
-	replFramePool.Put(body)
+	err := wire.WriteFrame(conn, replFrameHello, body)
+	wire.Pool.Put(body)
 	if err != nil {
 		return err
 	}
@@ -302,7 +303,7 @@ func (r *Replica) Sync(ctx context.Context, conn net.Conn) error {
 		if r.closed.Load() {
 			return nil
 		}
-		typ, body, err := readReplFrame(conn)
+		typ, body, err := wire.ReadFrame(conn)
 		if err != nil {
 			if ctx.Err() != nil {
 				return ctx.Err()
@@ -353,10 +354,10 @@ func (r *Replica) Sync(ctx context.Context, conn net.Conn) error {
 			if err := r.applyCommit(c); err != nil {
 				return err
 			}
-			ack := replFramePool.Get()[:0]
-			ack = replAppendU64(ack, r.appliedSeq.Load())
-			err = writeReplFrame(conn, replFrameAck, ack)
-			replFramePool.Put(ack)
+			ack := wire.Pool.Get()[:0]
+			ack = wire.AppendU64(ack, r.appliedSeq.Load())
+			err = wire.WriteFrame(conn, replFrameAck, ack)
+			wire.Pool.Put(ack)
 			if err != nil {
 				return err
 			}
@@ -373,6 +374,11 @@ func (r *Replica) applyCommit(c replCommit) error {
 	man, err := parseManifest(c.Manifest)
 	if err != nil {
 		return err
+	}
+	for _, name := range man.Segments {
+		if err := checkSegName(name); err != nil {
+			return err
+		}
 	}
 	r.primarySeq.Store(man.Seq)
 	var stats Stats

@@ -24,7 +24,9 @@ func startRepl(t *testing.T, s *Store) string {
 	return ln.Addr().String()
 }
 
-// syncReplica dials addr and runs r.Sync until the test ends.
+// syncReplica dials addr and runs r.Sync until the test ends. Cleanup waits
+// for Sync to return, so no shipped file lands in the replica directory
+// after its TempDir cleanup started removing it.
 func syncReplica(t *testing.T, r *Replica, addr string) {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
@@ -32,8 +34,12 @@ func syncReplica(t *testing.T, r *Replica, addr string) {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	t.Cleanup(cancel)
-	go func() { _ = r.Sync(ctx, conn) }()
+	done := make(chan struct{})
+	t.Cleanup(func() { cancel(); <-done })
+	go func() {
+		defer close(done)
+		_ = r.Sync(ctx, conn)
+	}()
 }
 
 // waitCaughtUp polls until the replica's view version matches the

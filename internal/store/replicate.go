@@ -10,6 +10,8 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
+
+	"snmpv3fp/internal/wire"
 )
 
 // Primary side of segment-shipping replication. Every manifest commit —
@@ -127,7 +129,7 @@ func (s *Store) serveReplConn(conn net.Conn) error {
 	s.repl.subscribers.Add(1)
 	defer s.repl.subscribers.Add(-1)
 
-	typ, body, err := readReplFrame(conn)
+	typ, body, err := wire.ReadFrame(conn)
 	if err != nil {
 		return err
 	}
@@ -152,7 +154,7 @@ func (s *Store) serveReplConn(conn net.Conn) error {
 	go func() {
 		defer close(connDead)
 		for {
-			typ, _, err := readReplFrame(conn)
+			typ, _, err := wire.ReadFrame(conn)
 			if err != nil || typ != replFrameAck {
 				return
 			}
@@ -199,10 +201,10 @@ func (s *Store) shipState(conn net.Conn, st replState, held map[string]bool) (bo
 			return false, err
 		}
 	}
-	body := replFramePool.Get()[:0]
+	body := wire.Pool.Get()[:0]
 	body = appendReplCommit(body, replCommit{Manifest: st.manifest, Stats: st.stats})
-	err := writeReplFrame(conn, replFrameCommit, body)
-	replFramePool.Put(body)
+	err := wire.WriteFrame(conn, replFrameCommit, body)
+	wire.Pool.Put(body)
 	if err != nil {
 		return false, err
 	}
@@ -218,14 +220,14 @@ func (s *Store) shipSegment(conn net.Conn, name string) error {
 	if err != nil {
 		return err
 	}
-	hdr := replFramePool.Get()[:0]
+	hdr := wire.Pool.Get()[:0]
 	hdr = appendReplSeg(hdr, replSeg{
 		Name: name,
 		Size: uint64(len(data)),
 		CRC:  crc32.Checksum(data, castagnoli),
 	})
-	err = writeReplFrame(conn, replFrameSeg, hdr)
-	replFramePool.Put(hdr)
+	err = wire.WriteFrame(conn, replFrameSeg, hdr)
+	wire.Pool.Put(hdr)
 	if err != nil {
 		return err
 	}
@@ -234,9 +236,9 @@ func (s *Store) shipSegment(conn net.Conn, name string) error {
 		if end > len(data) {
 			end = len(data)
 		}
-		if err := writeReplFrame(conn, replFrameChunk, data[off:end]); err != nil {
+		if err := wire.WriteFrame(conn, replFrameChunk, data[off:end]); err != nil {
 			return err
 		}
 	}
-	return writeReplFrame(conn, replFrameSegDone, nil)
+	return wire.WriteFrame(conn, replFrameSegDone, nil)
 }

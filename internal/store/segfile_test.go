@@ -1,9 +1,11 @@
 package store
 
 import (
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"snmpv3fp/internal/lru"
@@ -183,5 +185,31 @@ func TestSegmentV3CorruptionDetection(t *testing.T) {
 	}
 	if _, err := openSegment(dir, "000001.seg", nil, false); err == nil {
 		t.Fatal("lazy open missed tail-block corruption")
+	}
+}
+
+// TestSegmentOldVersionsRejected pins that only v3 segment files open: a
+// v1 or v2 footer fails with an unsupported-version error, never a
+// misparse.
+func TestSegmentOldVersionsRejected(t *testing.T) {
+	dir := t.TempDir()
+	d := &disk{dir: dir}
+	if err := d.writeSegmentFile("000001.seg", buildTestSegment(10), true); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "000001.seg")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []uint32{1, 2} {
+		binary.LittleEndian.PutUint32(data[len(data)-8:], v)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := openSegment(dir, "000001.seg", nil, false)
+		if want := fmt.Sprintf("unsupported version %d", v); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("v%d segment: got %v, want %q", v, err, want)
+		}
 	}
 }

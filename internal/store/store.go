@@ -777,16 +777,6 @@ func (s *Store) freezeLocked() error {
 	return nil
 }
 
-// AddCampaign begins a new campaign and ingests every observation of c in
-// address order (deterministic segment contents). Returns the campaign
-// sequence number.
-//
-// Deprecated: use [Store.Ingest], which supports cancellation mid-campaign.
-func (s *Store) AddCampaign(c *core.Campaign) uint64 {
-	n, _ := s.Ingest(context.Background(), c)
-	return n
-}
-
 // ingestCheckEvery is how many samples Ingest adds between context checks.
 const ingestCheckEvery = 256
 

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/netip"
@@ -195,8 +196,12 @@ func TestIncrementalAliasMatchesBatchSynthetic(t *testing.T) {
 
 	s := mustOpen(t, Options{FlushThreshold: 3})
 	defer s.Close()
-	s.AddCampaign(c1)
-	s.AddCampaign(c2)
+	if _, err := s.Ingest(context.Background(), c1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Ingest(context.Background(), c2); err != nil {
+		t.Fatal(err)
+	}
 
 	v := s.Snapshot()
 	wantSets, wantVendors := batchSets(c1, c2)
@@ -233,7 +238,7 @@ func runSimCampaign(t testing.TB, w *netsim.World, day int, seed int64) *core.Ca
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := scanner.Scan(w.NewTransport(), targets, scanner.Config{
+	res, err := scanner.ScanContext(context.Background(), w.NewTransport(), targets, scanner.Config{
 		Rate: 50000, Batch: 256, Clock: w.Clock, Seed: seed, Workers: 4,
 	})
 	if err != nil {
@@ -256,8 +261,12 @@ func TestIncrementalAliasMatchesBatchNetsim(t *testing.T) {
 
 	s := mustOpen(t, Options{FlushThreshold: 512})
 	defer s.Close()
-	s.AddCampaign(c1)
-	s.AddCampaign(c2)
+	if _, err := s.Ingest(context.Background(), c1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Ingest(context.Background(), c2); err != nil {
+		t.Fatal(err)
+	}
 	v := s.Snapshot()
 
 	wantSets, wantVendors := batchSets(c1, c2)
@@ -302,7 +311,9 @@ func TestTimelineFoldMatchesTrackerExtend(t *testing.T) {
 	defer s.Close()
 	timelines := map[netip.Addr]*tracker.Timeline{}
 	for _, c := range cs {
-		s.AddCampaign(c)
+		if _, err := s.Ingest(context.Background(), c); err != nil {
+			t.Fatal(err)
+		}
 		tracker.Extend(timelines, c)
 	}
 	v := s.Snapshot()

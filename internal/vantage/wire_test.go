@@ -2,7 +2,6 @@ package vantage
 
 import (
 	"bytes"
-	"io"
 	"net/netip"
 	"reflect"
 	"testing"
@@ -10,15 +9,16 @@ import (
 
 	"snmpv3fp/internal/netsim"
 	"snmpv3fp/internal/scanner"
+	"snmpv3fp/internal/wire"
 )
 
 func roundTrip(t *testing.T, typ byte, body []byte) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, typ, body); err != nil {
+	if err := wire.WriteFrame(&buf, typ, body); err != nil {
 		t.Fatalf("WriteFrame: %v", err)
 	}
-	gotTyp, gotBody, err := ReadFrame(&buf)
+	gotTyp, gotBody, err := wire.ReadFrame(&buf)
 	if err != nil {
 		t.Fatalf("ReadFrame: %v", err)
 	}
@@ -131,37 +131,6 @@ func TestShardDoneRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReadFrameRejectsOversized(t *testing.T) {
-	var buf bytes.Buffer
-	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF, frameHello})
-	if _, _, err := ReadFrame(&buf); err != ErrFrameTooLarge {
-		t.Fatalf("got %v, want ErrFrameTooLarge", err)
-	}
-}
-
-func TestReadFrameTruncatedStream(t *testing.T) {
-	// A frame header promising more bytes than the stream delivers must
-	// surface as unexpected EOF, not a clean end of stream.
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, framePartial, AppendPartial(nil, Partial{Epoch: 3})); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
-	for cut := 1; cut < len(full); cut++ {
-		_, _, err := ReadFrame(bytes.NewReader(full[:cut]))
-		if err == nil {
-			t.Fatalf("truncation at %d bytes decoded successfully", cut)
-		}
-		if cut >= 4 && err != io.ErrUnexpectedEOF {
-			t.Fatalf("truncation at %d: got %v, want ErrUnexpectedEOF", cut, err)
-		}
-	}
-	// Zero-length prefix (no type byte) is also invalid.
-	if _, _, err := ReadFrame(bytes.NewReader([]byte{0, 0, 0, 0})); err != ErrTruncatedFrame {
-		t.Fatalf("zero-length frame: got %v, want ErrTruncatedFrame", err)
-	}
-}
-
 func TestParseRejectsTrailingBytes(t *testing.T) {
 	body := AppendLease(nil, Lease{Epoch: 1, Shard: 0, Viewpoint: 0})
 	if _, err := ParseLease(append(body, 0xAB)); err == nil {
@@ -172,10 +141,10 @@ func TestParseRejectsTrailingBytes(t *testing.T) {
 func TestParsePartialBogusCount(t *testing.T) {
 	// A count field larger than the body could possibly hold must be
 	// rejected before any allocation proportional to it.
-	body := appendU64(nil, 1)
-	body = appendU32(body, 0)
-	body = appendU32(body, 0)
-	body = appendU32(body, 0xFFFFFFF0)
+	body := wire.AppendU64(nil, 1)
+	body = wire.AppendU32(body, 0)
+	body = wire.AppendU32(body, 0)
+	body = wire.AppendU32(body, 0xFFFFFFF0)
 	if _, err := ParsePartial(body); err == nil {
 		t.Fatal("bogus response count accepted")
 	}

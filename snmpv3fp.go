@@ -8,7 +8,8 @@
 // device identifier), its engine boots counter, and its engine time. This
 // package exposes that measurement primitive and the analyses built on it:
 //
-//   - Probe / Scan: single-target and campaign-scale discovery probing,
+//   - ProbeContext / ScanContext: single-target and campaign-scale
+//     discovery probing,
 //   - Validate: the ten-step response filtering pipeline (paper §4.4),
 //   - ResolveAliases: grouping IPs into devices via (engine ID, boots,
 //     binned last-reboot time) (paper §5), including dual-stack joins,
@@ -37,8 +38,7 @@
 // voting, reporting each protocol's marginal gain.
 //
 // Long-running entry points take a context.Context; cancelling it drains
-// scan workers and aborts store ingest cleanly. The context-free variants
-// (Probe, Scan) remain as deprecated wrappers over a background context.
+// scan workers and aborts store ingest cleanly.
 //
 // See examples/ for runnable end-to-end programs and cmd/reproduce for the
 // full paper evaluation against a simulated Internet.
@@ -171,25 +171,10 @@ func NewListTargets(addrs []netip.Addr, seed int64) (TargetSpace, error) {
 	return scanner.NewListSpace(addrs, seed)
 }
 
-// Probe sends one discovery packet with a background context.
-//
-// Deprecated: use [ProbeContext], which supports cancellation.
-func Probe(tr Transport, addr netip.Addr, timeout time.Duration) (*Observation, error) {
-	return ProbeContext(context.Background(), tr, addr, 1, timeout)
-}
-
 // ProbeContext sends one unauthenticated SNMPv3 discovery packet to addr
 // and returns the disclosed identifiers. Cancelling ctx abandons the wait.
 func ProbeContext(ctx context.Context, tr Transport, addr netip.Addr, msgID int64, timeout time.Duration) (*Observation, error) {
 	return core.ProbeContext(ctx, tr, addr, msgID, timeout)
-}
-
-// Scan runs one campaign with a background context.
-//
-// Deprecated: use [ScanContext], which runs the same module-aware engine
-// path and supports mid-campaign cancellation.
-func Scan(tr Transport, targets TargetSpace, cfg ScanConfig) (*Campaign, error) {
-	return ScanContext(context.Background(), tr, targets, cfg)
 }
 
 // ScanContext runs one campaign over the target space and folds the raw

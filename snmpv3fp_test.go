@@ -1,6 +1,7 @@
 package snmpv3fp_test
 
 import (
+	"context"
 	"net/netip"
 	"testing"
 	"time"
@@ -34,7 +35,7 @@ func TestPublicAPIAgainstLoopbackAgent(t *testing.T) {
 	}
 	defer tr.Close()
 
-	obs, err := snmpv3fp.Probe(tr, agent.Addr().Addr(), 2*time.Second)
+	obs, err := snmpv3fp.ProbeContext(context.Background(), tr, agent.Addr().Addr(), 1, 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestPublicAPIEndToEndPipeline(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := snmpv3fp.Scan(w.NewTransport(), targets, snmpv3fp.ScanConfig{
+		c, err := snmpv3fp.ScanContext(context.Background(), w.NewTransport(), targets, snmpv3fp.ScanConfig{
 			Rate: 50000, Clock: w.Clock, Seed: seed,
 		})
 		if err != nil {
@@ -161,7 +162,7 @@ func TestScanOverRealUDP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	campaign, err := snmpv3fp.Scan(tr, targets, snmpv3fp.ScanConfig{
+	campaign, err := snmpv3fp.ScanContext(context.Background(), tr, targets, snmpv3fp.ScanConfig{
 		Rate: 100, Timeout: time.Second, Seed: 1,
 	})
 	if err != nil {
