@@ -57,9 +57,12 @@ bench:
 bench-smoke:
 	$(GO) test ./bench -run 'Alloc' -bench=. -benchtime=1x -benchmem
 
-# Scan-campaign regression gate: re-measure ScanCampaign and fail when it
-# lands more than 15% above the checked-in BENCH_scan.json baseline. The
-# headroom absorbs runner noise; a hot-path regression trips it immediately.
+# Regression gate: re-measure the scan campaign, bare (ScanCampaign) and with
+# a metrics registry attached as the daemons run it (ScanCampaignObs), plus
+# the other gated benchmarks in cmd/benchjson, and fail when one lands more
+# than 15% (times its per-suite headroom) above its checked-in BENCH_*.json
+# baseline. The headroom absorbs runner noise; a hot-path regression trips
+# it immediately.
 bench-gate:
 	$(GO) run ./cmd/benchjson -gate 1.15
 

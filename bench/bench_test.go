@@ -12,8 +12,9 @@ import (
 	"snmpv3fp/internal/benchsuite"
 )
 
-func BenchmarkScanCampaign(b *testing.B)   { benchScanCampaign(b) }
-func BenchmarkIcmpTsCampaign(b *testing.B) { benchIcmpTsCampaign(b) }
+func BenchmarkScanCampaign(b *testing.B)    { benchScanCampaign(b) }
+func BenchmarkScanCampaignObs(b *testing.B) { benchScanCampaignObs(b) }
+func BenchmarkIcmpTsCampaign(b *testing.B)  { benchIcmpTsCampaign(b) }
 
 // BenchmarkScanScaling sweeps the campaign over the (workers, batch) grid,
 // reporting probes/s per point: the pps-vs-configuration curve behind the

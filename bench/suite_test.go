@@ -9,6 +9,7 @@ import (
 // Thin aliases so bench_test.go reads as the benchmark index.
 var (
 	benchScanCampaign       = benchsuite.ScanCampaign
+	benchScanCampaignObs    = benchsuite.ScanCampaignObs
 	benchIcmpTsCampaign     = benchsuite.IcmpTsCampaign
 	benchCollectResponses   = benchsuite.CollectResponses
 	benchEncodeProbe        = benchsuite.EncodeProbe

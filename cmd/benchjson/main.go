@@ -12,11 +12,11 @@
 // manually with `make bench-json` on a quiet machine.
 //
 // With -gate FACTOR the command regresses instead of refreshing: it re-runs
-// the gated benchmarks — ScanCampaign, IcmpTsCampaign, StoreDurableIngest
-// and the serve latency arms — and exits nonzero when any measured ns/op or
-// p99_ns exceeds its checked-in BENCH_*.json entry by more than FACTOR
-// times the gate's per-suite noise headroom (CI uses 1.15 via
-// `make bench-gate`). Two read-tier SLOs ride along: warm cached /v1/ip
+// the gated benchmarks — ScanCampaign, ScanCampaignObs, IcmpTsCampaign,
+// StoreDurableIngest and the serve latency arms — and exits nonzero when
+// any measured ns/op or p99_ns exceeds its checked-in BENCH_*.json entry by
+// more than FACTOR times the gate's per-suite noise headroom (CI uses 1.15
+// via `make bench-gate`). Two read-tier SLOs ride along: warm cached /v1/ip
 // p99 must stay under the fixed pre-cache ServeIP average, and cold
 // negative /v1/ip lookups must read ≥5x fewer segment bytes with bloom
 // filters than without.
@@ -79,6 +79,9 @@ type benchDef struct {
 var suites = map[string][]benchDef{
 	"scan": append([]benchDef{
 		{"ScanCampaign", benchsuite.ScanCampaign, &Baseline{27399152, 208874}},
+		// Registry-attached arm, as the daemons run the scanner: no pre-PR
+		// baseline; the interesting comparison is against ScanCampaign.
+		{"ScanCampaignObs", benchsuite.ScanCampaignObs, nil},
 		// Multi-protocol arm: no pre-PR baseline — the module seam did not
 		// exist before; the interesting comparison is against ScanCampaign.
 		{"IcmpTsCampaign", benchsuite.IcmpTsCampaign, nil},
@@ -183,6 +186,7 @@ type gateDef struct {
 
 var gates = []gateDef{
 	{suite: "scan", bench: "ScanCampaign", fn: benchsuite.ScanCampaign, headroom: 1.0},
+	{suite: "scan", bench: "ScanCampaignObs", fn: benchsuite.ScanCampaignObs, headroom: 1.0},
 	{suite: "scan", bench: "IcmpTsCampaign", fn: benchsuite.IcmpTsCampaign, headroom: 1.15},
 	{suite: "store", bench: "StoreDurableIngest", fn: benchsuite.StoreDurableIngest, headroom: 1.2},
 	{suite: "serve", bench: "ServeIP", fn: benchsuite.ServeIP, headroom: 1.5},

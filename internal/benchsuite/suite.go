@@ -22,6 +22,7 @@ import (
 
 	"snmpv3fp/internal/core"
 	"snmpv3fp/internal/netsim"
+	"snmpv3fp/internal/obs"
 	"snmpv3fp/internal/probe"
 	"snmpv3fp/internal/scanner"
 	"snmpv3fp/internal/serve"
@@ -46,8 +47,9 @@ func sharedWorld() *netsim.World {
 
 // runCampaign runs one deterministic virtual-time campaign over the shared
 // world and returns its result. batch is the engine's send-batch size — the
-// number of probes per transport operation.
-func runCampaign(w *netsim.World, workers, batch int) (*scanner.Result, error) {
+// number of probes per transport operation; reg, when non-nil, is attached
+// as the campaign's metrics registry.
+func runCampaign(w *netsim.World, workers, batch int, reg *obs.Registry) (*scanner.Result, error) {
 	w.Clock.Set(w.Cfg.StartTime.Add(15 * 24 * time.Hour))
 	w.BeginScan()
 	targets, err := scanner.NewPrefixSpace(w.ScanPrefixes4(), 42)
@@ -56,7 +58,7 @@ func runCampaign(w *netsim.World, workers, batch int) (*scanner.Result, error) {
 	}
 	return scanner.ScanContext(context.Background(), w.NewTransport(), targets, scanner.Config{
 		Rate: 5000, Batch: batch, Timeout: 8 * time.Second,
-		Clock: w.Clock, Seed: 42, Workers: workers,
+		Clock: w.Clock, Seed: 42, Workers: workers, Obs: reg,
 	})
 }
 
@@ -64,13 +66,24 @@ func runCampaign(w *netsim.World, workers, batch int) (*scanner.Result, error) {
 // campaign (probe encode, transport, agent codec, capture, canonical sort)
 // per iteration. Its B/op is the headline number the zero-allocation work
 // is measured against.
-func ScanCampaign(b *testing.B) {
+func ScanCampaign(b *testing.B) { scanCampaign(b, false) }
+
+// ScanCampaignObs is ScanCampaign with a fresh metrics registry attached to
+// every campaign, as snmpfpd and snmpscan run the scanner: it adds the
+// per-probe RTT send log, the pass-end RTT join and the metric updates.
+func ScanCampaignObs(b *testing.B) { scanCampaign(b, true) }
+
+func scanCampaign(b *testing.B, withObs bool) {
 	w := sharedWorld()
 	b.ReportAllocs()
 	b.ResetTimer()
 	var probes, responses uint64
 	for i := 0; i < b.N; i++ {
-		res, err := runCampaign(w, 4, 256)
+		var reg *obs.Registry
+		if withObs {
+			reg = obs.NewRegistry()
+		}
+		res, err := runCampaign(w, 4, 256, reg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -148,7 +161,7 @@ func ScanScaling(workers, batch int) func(*testing.B) {
 		b.ResetTimer()
 		var probes uint64
 		for i := 0; i < b.N; i++ {
-			res, err := runCampaign(w, workers, batch)
+			res, err := runCampaign(w, workers, batch, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -166,7 +179,7 @@ func ScanScaling(workers, batch int) func(*testing.B) {
 // one campaign's captured datagrams.
 func CollectResponses(b *testing.B) {
 	w := sharedWorld()
-	res, err := runCampaign(w, 4, 256)
+	res, err := runCampaign(w, 4, 256, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -103,7 +105,9 @@ func TestScanContextPreCancelled(t *testing.T) {
 
 // TestScanDeterministicWithObservability: attaching a registry must not
 // perturb the campaign — results stay byte-identical across worker counts,
-// and the deterministic metric families agree between runs.
+// and the deterministic metric families agree between runs. Histograms are
+// compared whole (count, sum and every bucket): a sum that follows capture
+// order differs in its last bits between two runs at the same worker count.
 func TestScanDeterministicWithObservability(t *testing.T) {
 	run := func(workers int) (*scanner.Result, *obs.Registry) {
 		w := netsim.Generate(netsim.TinyConfig(7))
@@ -126,11 +130,15 @@ func TestScanDeterministicWithObservability(t *testing.T) {
 	}
 
 	baseRes, baseReg := run(1)
-	for _, workers := range []int{4} {
+	baseHists := scanHistograms(baseReg)
+	if h, ok := baseHists["snmpfp_scan_probe_rtt_seconds"]; !ok || h.Count == 0 {
+		t.Fatal("baseline campaign observed no RTTs")
+	}
+	for i, workers := range []int{4, 4} {
 		res, reg := run(workers)
 		if got, want := resultDigest(res), resultDigest(baseRes); got != want {
-			t.Errorf("workers=%d: result differs with observability enabled\nbase: %s\ngot:  %s",
-				workers, firstDiff(want, got), firstDiff(got, want))
+			t.Errorf("run %d, workers=%d: result differs with observability enabled\nbase: %s\ngot:  %s",
+				i, workers, firstDiff(want, got), firstDiff(got, want))
 		}
 		// Aggregate counters and the RTT histogram are pure functions of
 		// the seed; only per-shard splits may differ across worker counts.
@@ -139,12 +147,44 @@ func TestScanDeterministicWithObservability(t *testing.T) {
 			"snmpfp_scan_retries_total",
 			"snmpfp_scan_responses_total",
 			"snmpfp_scan_offpath_rejected_total",
-			"snmpfp_scan_probe_rtt_seconds",
 			"snmpfp_scan_unanswered_total",
 		} {
 			if got, want := reg.Value(fam), baseReg.Value(fam); got != want {
-				t.Errorf("workers=%d: %s = %v, want %v", workers, fam, got, want)
+				t.Errorf("run %d, workers=%d: %s = %v, want %v", i, workers, fam, got, want)
+			}
+		}
+		hists := scanHistograms(reg)
+		if len(hists) != len(baseHists) {
+			t.Errorf("run %d, workers=%d: %d histogram series, want %d", i, workers, len(hists), len(baseHists))
+		}
+		for key, want := range baseHists {
+			got, ok := hists[key]
+			if !ok {
+				t.Errorf("run %d, workers=%d: histogram %s missing", i, workers, key)
+				continue
+			}
+			if got.Count != want.Count || got.Sum != want.Sum || !slices.Equal(got.Buckets, want.Buckets) {
+				t.Errorf("run %d, workers=%d: histogram %s = count %d sum %v buckets %v, want count %d sum %v buckets %v",
+					i, workers, key, got.Count, got.Sum, got.Buckets, want.Count, want.Sum, want.Buckets)
 			}
 		}
 	}
+}
+
+// scanHistograms returns the histogram series that must not depend on the
+// worker count: the probe RTT histogram and the scan.pass / scan.campaign
+// spans, keyed by family name plus label set. The send-batch histogram is
+// left out on purpose — how many datagrams one batch carries depends on how
+// the space is split across workers.
+func scanHistograms(reg *obs.Registry) map[string]obs.Point {
+	out := map[string]obs.Point{}
+	for _, p := range reg.Snapshot() {
+		switch {
+		case p.Name == "snmpfp_scan_probe_rtt_seconds",
+			p.Name == obs.SpanFamily && (strings.Contains(p.Labels, `span="scan.pass"`) ||
+				strings.Contains(p.Labels, `span="scan.campaign"`)):
+			out[p.Name+p.Labels] = p
+		}
+	}
+	return out
 }

@@ -82,11 +82,12 @@ type engine struct {
 	firstErr   error
 
 	// observability. metrics is never nil; its handles are nil (no-op)
-	// when Config.Obs is unset. sendLog/rttMark drive pass-end RTT
-	// accounting and are only allocated when a registry is attached.
-	metrics *scanMetrics
-	sendLog [][]sendRec
-	rttMark int
+	// when Config.Obs is unset. sendLogs (one per worker, nil without a
+	// registry) and rttMark, the count of captured responses earlier passes
+	// already matched, drive pass-end RTT accounting.
+	metrics  *scanMetrics
+	sendLogs []*sendLog
+	rttMark  int
 }
 
 func newEngine(tr Transport, targets TargetSpace, cfg Config, probe []byte) *engine {
@@ -123,7 +124,10 @@ func newEngine(tr Transport, targets TargetSpace, cfg Config, probe []byte) *eng
 	e.shardDone = make([]atomic.Bool, e.workers)
 	e.metrics = newScanMetrics(cfg.Obs, e.cfg.Clock, e.workers)
 	if cfg.Obs != nil {
-		e.sendLog = make([][]sendRec, e.workers)
+		e.sendLogs = make([]*sendLog, e.workers)
+		for i := range e.sendLogs {
+			e.sendLogs[i] = &sendLog{}
+		}
 	}
 	return e
 }
@@ -384,7 +388,7 @@ func (e *engine) dispatchSend(shard int, dsts []netip.Addr, ats []time.Time) (in
 	}
 	if e.batcher != nil {
 		var at time.Time
-		if e.sendLog != nil {
+		if e.sendLogs != nil {
 			at = e.cfg.Clock.Now()
 		}
 		n, err := e.batcher.SendBatch(dsts, e.probe)
@@ -394,13 +398,13 @@ func (e *engine) dispatchSend(shard int, dsts []netip.Addr, ats []time.Time) (in
 	}
 	for i, dst := range dsts {
 		var at time.Time
-		if e.sendLog != nil {
+		if e.sendLogs != nil {
 			at = e.cfg.Clock.Now()
 		}
 		if err := e.tr.Send(dst, e.probe); err != nil {
 			return i, err
 		}
-		e.noteRTTSend(shard, dst, at)
+		e.noteRTTSends(shard, dsts[i:i+1], nil, at)
 	}
 	return len(dsts), nil
 }

@@ -1,7 +1,9 @@
 package scanner
 
 import (
+	"encoding/binary"
 	"net/netip"
+	"slices"
 	"strconv"
 	"time"
 
@@ -72,37 +74,137 @@ func newScanMetrics(reg *obs.Registry, clock vclock.Clock, workers int) *scanMet
 	return m
 }
 
-// sendRec is one probe transmission, logged per worker (contention-free)
-// so pass-end RTT accounting can match responses to their send instants.
+// sendRec is one logged probe transmission: the destination's 16 address
+// bytes and the send instant as at.Sub(startClock), the engine's base
+// instant. startClock.Add(offset) restores the instant for time.Time.Sub,
+// monotonic reading included on real clocks. 24 bytes and no pointers, so
+// the GC never scans a send log.
 type sendRec struct {
-	addr netip.Addr
-	at   time.Time
+	addr [16]byte
+	at   int64
 }
 
-// noteRTTSend logs one transmission when RTT observation is enabled.
-func (e *engine) noteRTTSend(shard int, addr netip.Addr, at time.Time) {
-	if e.sendLog == nil {
-		return
-	}
-	e.sendLog[shard] = append(e.sendLog[shard], sendRec{addr: addr, at: at})
+// sendChunkLen sizes one send-log chunk (96 KiB of records).
+const sendChunkLen = 4096
+
+// addrClass is what a netip.Addr holds beyond its 16 bytes: the bit length
+// (0 for the zero Addr, 32 or 128) and the IPv6 zone. It is what tells an
+// IPv4 address apart from its v4-mapped IPv6 form.
+type addrClass struct {
+	bits int
+	zone string
 }
 
-// noteRTTSends logs a whole batch of transmissions. ats carries per-probe
-// logical send instants (logical mode); when ats is nil every probe is logged
-// at fallbackAt, the instant the batch call returned.
-func (e *engine) noteRTTSends(shard int, dsts []netip.Addr, ats []time.Time, fallbackAt time.Time) {
-	if e.sendLog == nil {
-		return
+// addr rebuilds the netip.Addr a record of this class was logged from.
+func (c addrClass) addr(b [16]byte) netip.Addr {
+	switch c.bits {
+	case 32:
+		return netip.AddrFrom4([4]byte(b[12:]))
+	case 128:
+		return netip.AddrFrom16(b).WithZone(c.zone)
 	}
-	log := e.sendLog[shard]
-	for i, dst := range dsts {
-		at := fallbackAt
-		if ats != nil {
-			at = ats[i]
+	return netip.Addr{}
+}
+
+// classRun starts a run of same-class records at log index start. A
+// single-family campaign logs one run per worker per pass.
+type classRun struct {
+	start int
+	class addrClass
+}
+
+// sendLog is one worker's transmissions in the current pass, held in
+// fixed-size chunks (allocated once each, never regrown by copying) like the
+// capture's response chunks. Only its worker appends to it.
+type sendLog struct {
+	chunks [][]sendRec // filled chunks, in send order
+	cur    []sendRec   // chunk being filled
+	n      int
+	runs   []classRun
+}
+
+// add logs one transmission, opening a new class run when dst's class
+// differs from the previous record's.
+func (l *sendLog) add(dst netip.Addr, at int64) {
+	if r := len(l.runs); r == 0 || dst.BitLen() != l.runs[r-1].class.bits || dst.Zone() != l.runs[r-1].class.zone {
+		l.runs = append(l.runs, classRun{start: l.n, class: addrClass{bits: dst.BitLen(), zone: dst.Zone()}})
+	}
+	if len(l.cur) == cap(l.cur) {
+		if l.cur != nil {
+			l.chunks = append(l.chunks, l.cur)
 		}
-		log = append(log, sendRec{addr: dst, at: at})
+		l.cur = make([]sendRec, 0, sendChunkLen)
 	}
-	e.sendLog[shard] = log
+	l.cur = append(l.cur, sendRec{addr: dst.As16(), at: at})
+	l.n++
+}
+
+// each calls fn for every logged transmission in send order.
+func (l *sendLog) each(fn func(addr [16]byte, class addrClass, at int64)) {
+	i, run := 0, 0
+	visit := func(recs []sendRec) {
+		for _, r := range recs {
+			if run+1 < len(l.runs) && l.runs[run+1].start == i {
+				run++
+			}
+			fn(r.addr, l.runs[run].class, r.at)
+			i++
+		}
+	}
+	for _, c := range l.chunks {
+		visit(c)
+	}
+	visit(l.cur)
+}
+
+// addrFilter is a one-hash bitset over 16-byte address keys, at 16 bits
+// per key (a false-positive rate near 1/16). Most probes of a pass go
+// unanswered; the filter lets their send records skip the exact lookup.
+type addrFilter struct {
+	bits  []uint64
+	shift uint
+}
+
+func newAddrFilter(keys int) addrFilter {
+	logBits := uint(10)
+	for 1<<logBits < 16*keys {
+		logBits++
+	}
+	return addrFilter{bits: make([]uint64, 1<<(logBits-6)), shift: 64 - logBits}
+}
+
+// index hashes the key onto the filter's bits (multiplicative hashing;
+// the top bits of the product are the well-mixed ones).
+func (f addrFilter) index(k [16]byte) uint64 {
+	h := binary.LittleEndian.Uint64(k[:8])*0x9E3779B97F4A7C15 ^ binary.LittleEndian.Uint64(k[8:])
+	return (h * 0xC2B2AE3D27D4EB4F) >> f.shift
+}
+
+func (f addrFilter) add(k [16]byte) {
+	i := f.index(k)
+	f.bits[i>>6] |= 1 << (i & 63)
+}
+
+func (f addrFilter) mayContain(k [16]byte) bool {
+	i := f.index(k)
+	return f.bits[i>>6]&(1<<(i&63)) != 0
+}
+
+// noteRTTSends logs a run of transmissions when RTT observation is enabled.
+// ats carries per-probe logical send instants (logical mode); when ats is
+// nil every probe is logged at fallbackAt, the instant the send call began.
+func (e *engine) noteRTTSends(shard int, dsts []netip.Addr, ats []time.Time, fallbackAt time.Time) {
+	if e.sendLogs == nil {
+		return
+	}
+	log := e.sendLogs[shard]
+	at := int64(fallbackAt.Sub(e.startClock))
+	for i, dst := range dsts {
+		if ats != nil {
+			at = int64(ats[i].Sub(e.startClock))
+		}
+		log.add(dst, at)
+	}
 }
 
 // noteBatchOp records one accepted batch operation: the batch-size histogram
@@ -119,51 +221,83 @@ func (e *engine) noteBatchOp(n int) {
 }
 
 // observePassRTTs runs after the pass's quiesce barrier: every response the
-// transport queued for this pass has been captured, so matching responses
-// against the pass's send log yields exact per-probe round-trip times
-// (virtual durations under the virtual clock — deterministic across worker
-// counts). Responses predating this pass's probe of the same source (late
-// arrivals from the previous pass) would yield non-positive durations and
-// are skipped.
+// transport queued for this pass has been captured, so joining this pass's
+// responses against its send logs yields exact per-probe round-trip times,
+// resp.At minus the send instant of the same source in this pass (virtual
+// durations under the virtual clock — deterministic across worker counts).
+// Responses predating this pass's probe of the same source (late arrivals
+// from the previous pass) yield non-positive durations and are skipped, as
+// are responses from sources this pass did not probe.
+//
+// The join is keyed on the responses, a few percent of the probes: the
+// send logs stream through a lookup over this pass's response sources
+// rather than a lookup being built over every probe. When a source was
+// logged twice, its last send in worker order counts. The RTTs are observed
+// in ascending order, so the histogram's float sum does not depend on the
+// order responses were captured in.
 func (e *engine) observePassRTTs() {
-	if e.sendLog == nil {
+	if e.sendLogs == nil {
 		return
 	}
-	sentAt := make(map[netip.Addr]time.Time)
-	for i, log := range e.sendLog {
-		for _, r := range log {
-			sentAt[r.addr] = r.at
-		}
-		e.sendLog[i] = nil
-	}
+	// This pass's captures, from the previous pass's high-water mark on.
+	// Captured responses are never rewritten (capture only appends), so the
+	// slices taken under the lock stay valid to read after it is released.
+	var pass [][]Response
+	n := 0
 	e.mu.Lock()
-	// Walk the response chunks from the high-water mark of the previous
-	// pass; only this pass's captures are matched against its send log.
-	var rtts []time.Duration
 	idx := 0
-	scan := func(chunk []Response) {
-		if idx+len(chunk) <= e.rttMark {
-			idx += len(chunk)
-			return
+	take := func(c []Response) {
+		if idx+len(c) > e.rttMark {
+			tail := c[max(e.rttMark-idx, 0):]
+			pass = append(pass, tail)
+			n += len(tail)
 		}
-		for i := range chunk {
-			if idx >= e.rttMark {
-				resp := &chunk[i]
-				if at, ok := sentAt[resp.Src]; ok {
-					if d := resp.At.Sub(at); d > 0 {
-						rtts = append(rtts, d)
-					}
-				}
-			}
-			idx++
-		}
+		idx += len(c)
 	}
 	for _, c := range e.respChunks {
-		scan(c)
+		take(c)
 	}
-	scan(e.respCur)
+	take(e.respCur)
 	e.rttMark = idx
 	e.mu.Unlock()
+
+	type sendSlot struct {
+		at   int64
+		sent bool
+	}
+	slot := make(map[netip.Addr]int, n)
+	filter := newAddrFilter(n)
+	for _, c := range pass {
+		for i := range c {
+			if _, ok := slot[c[i].Src]; !ok {
+				slot[c[i].Src] = len(slot)
+				filter.add(c[i].Src.As16())
+			}
+		}
+	}
+	sent := make([]sendSlot, len(slot))
+	for _, log := range e.sendLogs {
+		log.each(func(addr [16]byte, class addrClass, at int64) {
+			if !filter.mayContain(addr) {
+				return
+			}
+			if j, ok := slot[class.addr(addr)]; ok {
+				sent[j] = sendSlot{at: at, sent: true}
+			}
+		})
+		*log = sendLog{}
+	}
+	rtts := make([]time.Duration, 0, n)
+	for _, c := range pass {
+		for i := range c {
+			if s := sent[slot[c[i].Src]]; s.sent {
+				if d := c[i].At.Sub(e.startClock.Add(time.Duration(s.at))); d > 0 {
+					rtts = append(rtts, d)
+				}
+			}
+		}
+	}
+	slices.Sort(rtts)
 	for _, d := range rtts {
 		e.metrics.rtt.ObserveDuration(d)
 	}
